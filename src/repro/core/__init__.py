@@ -50,7 +50,7 @@ from repro.core.formulas import (
     Var,
 )
 from repro.core.intervals import Interval
-from repro.core.monitor import Monitor
+from repro.core.monitor import Monitor, MonitorFacade
 from repro.core.naive import NaiveChecker
 from repro.core.normalize import normalize, rename_apart
 from repro.core.optimize import optimize
@@ -83,6 +83,7 @@ __all__ = [
     "IncrementalChecker",
     "Interval",
     "Monitor",
+    "MonitorFacade",
     "NaiveChecker",
     "Next",
     "Not",

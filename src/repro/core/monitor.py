@@ -37,7 +37,7 @@ from repro.core.violations import RunReport, StepReport
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
-from repro.errors import HandlerError, HistoryError, MonitorError
+from repro.errors import FAULT_ERRORS, HandlerError, HistoryError, MonitorError
 from repro.temporal.clock import Timestamp
 from repro.temporal.stream import UpdateStream
 
@@ -48,8 +48,242 @@ ENGINES = ("incremental", "naive", "naive-memo", "active", "adom")
 SHEDDING_ENGINES = ("incremental", "naive", "naive-memo", "adom")
 
 
-class Monitor:
-    """Registers constraints and checks them over an update stream."""
+class MonitorFacade:
+    """The façade shared by :class:`Monitor` and the sharded monitor.
+
+    Constraint registration, the violation and alert channels, the
+    fault policy, and ingestion.  A subclass supplies ``_started``
+    (registration freezes once it is true), ``_compile`` (one
+    constraint's admission checks), and ``_fault_index`` (the step
+    index a skipped report carries).
+    """
+
+    #: ``engine`` label of the fault runtime's metric series (``None``:
+    #: the monitor's own :attr:`engine`)
+    _fault_label: Optional[str] = None
+
+    def __init__(
+        self, schema: DatabaseSchema, instrumentation, fault_policy,
+        quarantine_log,
+    ):
+        self.schema = schema
+        self.instrumentation = instrumentation
+        self.constraints: List[Constraint] = []
+        self._violation_handlers: List = []
+        self._alert_handlers: List = []
+        self._resilience = None
+        self._ingest = None
+        if fault_policy is not None or quarantine_log is not None:
+            self._configure_fault_policy(fault_policy, quarantine_log)
+
+    def _metrics(self):
+        """The metrics registry behind the instrumentation, if any."""
+        return getattr(self.instrumentation, "metrics", None)
+
+    def _configure_fault_policy(self, fault_policy, quarantine_log) -> None:
+        from repro.resilience import FaultPolicy, QuarantineLog, ResilienceRuntime
+
+        if quarantine_log is not None and not isinstance(
+            quarantine_log, QuarantineLog
+        ):
+            quarantine_log = QuarantineLog(quarantine_log)
+        if fault_policy is None:
+            fault_policy = FaultPolicy.QUARANTINE
+        self._resilience = ResilienceRuntime(
+            fault_policy,
+            quarantine=quarantine_log,
+            metrics=self._metrics(),
+            engine=self._fault_label or self.engine,
+        )
+
+    @property
+    def resilience(self):
+        """The fault-handling runtime (None when no policy is set)."""
+        return self._resilience
+
+    @property
+    def ingest(self):
+        """The last :class:`~repro.ingest.IngestPipeline` fed (or None)."""
+        return self._ingest
+
+    # ------------------------------------------------------------------
+    # registration
+    # ------------------------------------------------------------------
+
+    def add_constraint(
+        self, name: str, formula: Union[str, Formula]
+    ) -> Constraint:
+        """Register one constraint (text or formula) before stepping.
+
+        Compilation (normalisation + safety check + schema validation,
+        and shard-plan admission on a sharded monitor) happens
+        immediately, so unsafe, mistyped, or unshardable constraints
+        fail fast with a diagnostic rather than at the first step.
+        """
+        if self._started:
+            raise MonitorError(
+                "constraints must be registered before the first step"
+            )
+        if any(c.name == name for c in self.constraints):
+            raise MonitorError(f"duplicate constraint name {name!r}")
+        constraint = self._compile(name, formula)
+        self.constraints.append(constraint)
+        return constraint
+
+    def add_constraints_text(self, text: str) -> List[Constraint]:
+        """Register a whole constraint file (``[name :] formula ; ...``)."""
+        return [
+            self.add_constraint(name, formula)
+            for name, formula in parse_constraints(text)
+        ]
+
+    # ------------------------------------------------------------------
+    # handler channels
+    # ------------------------------------------------------------------
+
+    def on_violation(self, handler) -> None:
+        """Register ``handler(violation)`` to run on every violation.
+
+        Handlers fire synchronously inside :meth:`step`/:meth:`run`, in
+        registration order — the hook for alerting, journaling, or
+        compensation logic (a sharded monitor dispatches the *merged*
+        violations).  Each handler call is isolated: a raising handler
+        can neither mask the step's report nor skip the handlers after
+        it.  Collected failures are re-raised as one
+        :class:`~repro.errors.HandlerError` after dispatch (monitoring
+        must not silently drop reactions) — unless a ``skip`` or
+        ``quarantine`` fault policy is active, in which case they are
+        counted and dead-lettered instead.
+        """
+        self._violation_handlers.append(handler)
+
+    def on_alert(self, handler) -> None:
+        """Register ``handler(alert)`` to run on every alert.
+
+        A :class:`Monitor` fires :class:`~repro.obs.slo.SLOAlert`
+        burn-rate alerts and statewatch bound/leak alerts synchronously
+        inside :meth:`step`; a sharded monitor fires each shard
+        crash/stall/tombstone :class:`~repro.resilience.FaultRecord`.
+        Same isolation discipline as :meth:`on_violation`.
+        """
+        self._alert_handlers.append(handler)
+
+    def _dispatch(self, report: StepReport) -> StepReport:
+        if not self._violation_handlers:
+            return report
+        failures = []
+        for violation in report.violations:
+            for handler in self._violation_handlers:
+                try:
+                    handler(violation)
+                except Exception as exc:  # noqa: BLE001 — isolation point
+                    failures.append((violation, exc))
+        if failures:
+            resilience = self._resilience
+            if resilience is not None and resilience.policy.value != "fail_fast":
+                resilience.handle_handler_failures(report, failures)
+            else:
+                raise HandlerError(report, failures) from failures[0][1]
+        return report
+
+    def _emit_alerts(self, alerts) -> None:
+        if not alerts or not self._alert_handlers:
+            return
+        failures = []
+        for alert in alerts:
+            for handler in self._alert_handlers:
+                try:
+                    handler(alert)
+                except Exception as exc:  # noqa: BLE001 — isolation point
+                    failures.append((alert, exc))
+        if failures:
+            raise HandlerError(alerts, failures) from failures[0][1]
+
+    # ------------------------------------------------------------------
+    # ingestion and out-of-band faults
+    # ------------------------------------------------------------------
+
+    def feed(
+        self,
+        sources,
+        watermark: int = 0,
+        max_lateness: Optional[int] = None,
+        skew=None,
+        retry=None,
+        queue_capacity: int = 1024,
+        backpressure: str = "block",
+        consumer_rate: Optional[int] = None,
+        pressure_deadline: Optional[float] = None,
+        urgent: Sequence[str] = (),
+        max_buffer: int = 4096,
+        quarantine=None,
+    ) -> RunReport:
+        """Pull from unordered, unreliable sources until they run dry.
+
+        The ingestion counterpart of :meth:`run`: where ``run`` demands
+        a clean, strictly-increasing stream, ``feed`` accepts a list of
+        :class:`~repro.ingest.Source`-likes (any iterable of
+        ``(time, txn)`` pairs qualifies) and hardens the boundary — a
+        watermark reorderer absorbs disorder up to ``watermark`` clock
+        units, normalises per-source ``skew``, deduplicates replays,
+        and dead-letters too-late events (to ``quarantine``, default
+        the fault policy's log); flaky sources are retried per
+        ``retry``; a bounded queue applies ``backpressure``.  See
+        :class:`~repro.ingest.IngestPipeline` for every knob, and
+        :attr:`ingest` for the accounting after the run.
+        """
+        from repro.ingest import IngestPipeline
+
+        pipeline = IngestPipeline(
+            self,
+            sources,
+            watermark=watermark,
+            max_lateness=max_lateness,
+            skew=skew,
+            retry=retry,
+            queue_capacity=queue_capacity,
+            backpressure=backpressure,
+            consumer_rate=consumer_rate,
+            pressure_deadline=pressure_deadline,
+            urgent=urgent,
+            max_buffer=max_buffer,
+            quarantine=quarantine,
+        )
+        self._ingest = pipeline
+        return pipeline.run()
+
+    def record_fault(
+        self,
+        kind: str,
+        reason: str,
+        time: Optional[Timestamp] = None,
+        payload=None,
+    ) -> StepReport:
+        """Report an out-of-band fault (e.g. an unparseable stream line).
+
+        For callers that decode the stream themselves — such as the CLI
+        reading a history file leniently — and hit records that never
+        become a transaction at all.  Routed through the same fault
+        policy as step-boundary faults, so it raises under ``fail_fast``
+        (or with no policy configured).
+        """
+        error = HistoryError(reason)
+        if self._resilience is None:
+            raise error
+        return self._resilience.handle(
+            "history" if kind is None else kind,
+            error,
+            time,
+            payload,
+            self._fault_index(),
+        )
+
+
+class Monitor(MonitorFacade):
+    """Registers constraints and checks them over an update stream.
+    Registration, handlers, fault policy and :meth:`feed` are
+    :class:`MonitorFacade`'s.
+    """
 
     def __init__(
         self,
@@ -77,8 +311,7 @@ class Monitor:
             fault_policy: optional
                 :class:`~repro.resilience.FaultPolicy` (or its string
                 name): ``"fail_fast"``, ``"skip"``, or ``"quarantine"``.
-                ``None`` (default) disables the fault boundary entirely
-                — faults raise, and the step hot path carries no guard.
+                ``None`` (default) lets faults raise out of the step.
             quarantine_log: optional
                 :class:`~repro.resilience.QuarantineLog` or a path for
                 one; implies ``fault_policy="quarantine"`` when no
@@ -119,35 +352,23 @@ class Monitor:
                 f"share_subformulas requires the incremental engine, "
                 f"not {engine!r}"
             )
-        self.schema = schema
         self.engine = engine
         self.share_subformulas = bool(share_subformulas)
         self.initial = initial
-        self.instrumentation = instrumentation
-        self.constraints: List[Constraint] = []
         self.strict = strict
         self.lint_config = lint_config
         self._checker = None
-        self._violation_handlers: List = []
-        self._alert_handlers: List = []
         self._journal = None
         self._budget = None
-        self._resilience = None
-        self._ingest = None
         self._telemetry = None
         self._statewatch = None
+        super().__init__(schema, instrumentation, fault_policy, quarantine_log)
         if step_deadline is not None:
             self._configure_deadline(step_deadline, urgent)
-        if fault_policy is not None or quarantine_log is not None:
-            self._configure_fault_policy(fault_policy, quarantine_log)
 
     # ------------------------------------------------------------------
     # resilience configuration
     # ------------------------------------------------------------------
-
-    def _metrics(self):
-        """The metrics registry behind the instrumentation, if any."""
-        return getattr(self.instrumentation, "metrics", None)
 
     def _publish_sharing_metrics(self, checker) -> None:
         """Expose the checker's subformula-dedup accounting as gauges."""
@@ -171,22 +392,6 @@ class Monitor:
                  "nodes (1.0 = nothing shared)",
             engine=self.engine,
         ).set(stats["dedup_ratio"])
-
-    def _configure_fault_policy(self, fault_policy, quarantine_log) -> None:
-        from repro.resilience import FaultPolicy, QuarantineLog, ResilienceRuntime
-
-        if quarantine_log is not None and not isinstance(
-            quarantine_log, QuarantineLog
-        ):
-            quarantine_log = QuarantineLog(quarantine_log)
-        if fault_policy is None:
-            fault_policy = FaultPolicy.QUARANTINE
-        self._resilience = ResilienceRuntime(
-            fault_policy,
-            quarantine=quarantine_log,
-            metrics=self._metrics(),
-            engine=self.engine,
-        )
 
     def _configure_deadline(self, step_deadline, urgent) -> None:
         from repro.resilience import StepBudget
@@ -305,29 +510,6 @@ class Monitor:
         )
         return self._statewatch
 
-    def on_alert(self, handler) -> None:
-        """Register ``handler(alert)`` to run on every SLO alert.
-
-        Alerts are :class:`~repro.obs.slo.SLOAlert` instances, fired
-        synchronously inside :meth:`step` when a burn-rate rule
-        crosses its threshold — the same channel discipline as
-        :meth:`on_violation`, including handler isolation.
-        """
-        self._alert_handlers.append(handler)
-
-    def _emit_alerts(self, alerts) -> None:
-        if not alerts or not self._alert_handlers:
-            return
-        failures = []
-        for alert in alerts:
-            for handler in self._alert_handlers:
-                try:
-                    handler(alert)
-                except Exception as exc:  # noqa: BLE001 — isolation point
-                    failures.append((alert, exc))
-        if failures:
-            raise HandlerError(alerts, failures) from failures[0][1]
-
     def health(self):
         """The monitor's current state as a mergeable health snapshot.
 
@@ -353,16 +535,6 @@ class Monitor:
         return self._statewatch
 
     @property
-    def resilience(self):
-        """The fault-handling runtime (None when no policy is set)."""
-        return self._resilience
-
-    @property
-    def ingest(self):
-        """The last :class:`~repro.ingest.IngestPipeline` fed (or None)."""
-        return self._ingest
-
-    @property
     def journal(self):
         """The attached :class:`~repro.core.persist.RunJournal`, if any."""
         return self._journal
@@ -376,21 +548,11 @@ class Monitor:
     # registration
     # ------------------------------------------------------------------
 
-    def add_constraint(
-        self, name: str, formula: Union[str, Formula]
-    ) -> Constraint:
-        """Register one constraint (text or formula) before stepping.
+    @property
+    def _started(self) -> bool:
+        return self._checker is not None
 
-        Compilation (normalisation + safety check + schema validation)
-        happens immediately, so unsafe or mistyped constraints fail
-        fast with a diagnostic rather than at the first step.
-        """
-        if self._checker is not None:
-            raise MonitorError(
-                "constraints must be registered before the first step"
-            )
-        if any(c.name == name for c in self.constraints):
-            raise MonitorError(f"duplicate constraint name {name!r}")
+    def _compile(self, name: str, formula: Union[str, Formula]) -> Constraint:
         if isinstance(formula, str):
             formula = parse(formula)
         if self.strict:
@@ -403,7 +565,6 @@ class Monitor:
             from repro.core.adom import check_adom_compatible
 
             check_adom_compatible(constraint.violation_formula)
-        self.constraints.append(constraint)
         return constraint
 
     def _lint_registration(self, name: str, formula: Formula) -> None:
@@ -423,13 +584,6 @@ class Monitor:
         pairs = [(c.name, c.formula) for c in self.constraints]
         pairs.append((name, formula))
         reject_lint_errors(self.schema, pairs, config)
-
-    def add_constraints_text(self, text: str) -> List[Constraint]:
-        """Register a whole constraint file (``[name :] formula ; ...``)."""
-        return [
-            self.add_constraint(name, formula)
-            for name, formula in parse_constraints(text)
-        ]
 
     # ------------------------------------------------------------------
     # checking
@@ -493,75 +647,75 @@ class Monitor:
             if engine is not None and hasattr(engine, "instrumentation"):
                 engine.instrumentation = instrumentation
 
-    def on_violation(self, handler) -> None:
-        """Register ``handler(violation)`` to run on every violation.
-
-        Handlers fire synchronously inside :meth:`step`/:meth:`run`, in
-        registration order — the hook for alerting, journaling, or
-        compensation logic.  Each handler call is isolated: a raising
-        handler can neither mask the step's report nor skip the
-        handlers after it.  Collected failures are re-raised as one
-        :class:`~repro.errors.HandlerError` after dispatch (monitoring
-        must not silently drop reactions) — unless a ``skip`` or
-        ``quarantine`` fault policy is active, in which case they are
-        counted and dead-lettered instead.
-        """
-        self._violation_handlers.append(handler)
-
-    def _dispatch(self, report: StepReport) -> StepReport:
-        if not self._violation_handlers:
-            return report
-        failures = []
-        for violation in report.violations:
-            for handler in self._violation_handlers:
-                try:
-                    handler(violation)
-                except Exception as exc:  # noqa: BLE001 — isolation point
-                    failures.append((violation, exc))
-        if failures:
-            resilience = self._resilience
-            if resilience is not None and resilience.policy.value != "fail_fast":
-                resilience.handle_handler_failures(report, failures)
-            else:
-                raise HandlerError(report, failures) from failures[0][1]
-        return report
-
     def step(self, time: Timestamp, txn: Transaction) -> StepReport:
         """Apply one transaction at ``time`` and check all constraints.
 
-        With a fault policy configured, input faults (schema,
-        transaction, clock, malformed payloads) are intercepted here —
-        the step boundary — and skipped or quarantined instead of
-        raising; the checker is untouched by a faulted step because
-        every engine validates before mutating.
+        The one step path, in order: telemetry check-begin → the fault
+        boundary around the engine step → journal record → violation
+        dispatch → degrade accounting → telemetry verdict and alerts →
+        statewatch.  A faulted step (schema, transaction, clock,
+        malformed payload) closes the trace spans it left open, then
+        raises — or, with a fault policy configured, is skipped or
+        quarantined: never journaled or dispatched, but still seen by
+        telemetry and statewatch.  The checker is untouched by a
+        faulted step because every engine validates before mutating.
         """
         telemetry = self._telemetry
-        if telemetry is None:
-            if self._resilience is None and self._journal is None:
-                return self._observe_state(
-                    self._note(
-                        self._dispatch(self.checker.step(time, txn))
-                    )
-                )
-            return self._observe_state(self._guarded_step(time, txn))
-        try:
-            telemetry.check_begin(time)
-        except TypeError:  # unhashable timestamp — the fault boundary's job
-            telemetry = None
-        if self._resilience is None and self._journal is None:
-            report = self._note(self._dispatch(self.checker.step(time, txn)))
-        else:
-            report = self._guarded_step(time, txn)
         if telemetry is not None:
-            self._emit_alerts(telemetry.verdict(time, report))
-        return self._observe_state(report)
+            try:
+                telemetry.check_begin(time)
+            except TypeError:  # unhashable timestamp — the fault boundary's job
+                telemetry = None
+        checker = self.checker
+        resilience = self._resilience
+        tracer = getattr(self.instrumentation, "tracer", None)
+        depth = 0 if tracer is None else tracer.open_spans
+        try:
+            if resilience is not None and not isinstance(txn, Transaction):
+                raise HistoryError(
+                    f"stream element at t={time!r} is not a Transaction "
+                    f"but {type(txn).__name__}"
+                )
+            report = checker.step(time, txn)
+        except FAULT_ERRORS as exc:
+            # abandon any trace spans the failed step left open
+            if tracer is not None:
+                while tracer.open_spans > depth:
+                    tracer.end(error=type(exc).__name__)
+            if resilience is None:
+                raise
+            from repro.resilience import classify_fault
 
-    def _observe_state(self, report: StepReport) -> StepReport:
-        if self._statewatch is not None:
-            self._emit_alerts(self._statewatch.observe(self.checker, report))
-        return report
+            report = resilience.handle(
+                classify_fault(exc), exc, time, txn, checker.steps_processed
+            )
+        else:
+            if self._journal is not None:
+                self._journal_record(time, txn)
+            self._settle(report)
+        return self._conclude(time, report, telemetry)
 
-    def _note(self, report: StepReport) -> StepReport:
+    def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
+        """Record a full successor state at ``time`` and check.
+
+        The same path as :meth:`step` minus the journal (which records
+        transactions) and the fault boundary: faults always raise.
+        """
+        if self._journal is not None:
+            raise MonitorError(
+                "step_state cannot be journaled (the journal records "
+                "transactions); derive a transaction and use step()"
+            )
+        telemetry = self._telemetry
+        if telemetry is not None:
+            telemetry.check_begin(time)
+        report = self._settle(self.checker.step_state(time, state))
+        return self._conclude(time, report, telemetry)
+
+    def _settle(self, report: StepReport) -> StepReport:
+        """Dispatch a committed step's violations; account its shedding."""
+        if self._violation_handlers:
+            self._dispatch(report)
         if self._budget is None or not report.degraded:
             return report
         if self._resilience is not None:
@@ -588,33 +742,14 @@ class Monitor:
                 ).inc()
         return report
 
-    def _guarded_step(self, time: Timestamp, txn) -> StepReport:
-        from repro.resilience import FAULT_ERRORS, classify_fault
-
-        resilience = self._resilience
-        checker = self.checker
-        tracer = getattr(self.instrumentation, "tracer", None)
-        depth = tracer.open_spans if tracer is not None else 0
-        try:
-            if resilience is not None and not isinstance(txn, Transaction):
-                raise HistoryError(
-                    f"stream element at t={time!r} is not a Transaction "
-                    f"but {type(txn).__name__}"
-                )
-            report = checker.step(time, txn)
-        except FAULT_ERRORS as exc:
-            # abandon any trace spans the failed step left open
-            if tracer is not None:
-                while tracer.open_spans > depth:
-                    tracer.end(error=type(exc).__name__)
-            if resilience is None:
-                raise
-            return resilience.handle(
-                classify_fault(exc), exc, time, txn, checker.steps_processed
-            )
-        if self._journal is not None:
-            self._journal_record(time, txn)
-        return self._note(self._dispatch(report))
+    def _conclude(self, time: Timestamp, report: StepReport,
+                  telemetry) -> StepReport:
+        """Close the step's telemetry, observe state; fire their alerts."""
+        if telemetry is not None:
+            self._emit_alerts(telemetry.verdict(time, report))
+        if self._statewatch is not None:
+            self._emit_alerts(self._statewatch.observe(self.checker, report))
+        return report
 
     def _journal_record(self, time: Timestamp, txn: Transaction) -> None:
         from repro.resilience.policy import (
@@ -637,112 +772,15 @@ class Monitor:
                     engine=self.engine,
                 ).inc()
 
-    def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
-        """Record a full successor state at ``time`` and check."""
-        if self._journal is not None:
-            raise MonitorError(
-                "step_state cannot be journaled (the journal records "
-                "transactions); derive a transaction and use step()"
-            )
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.check_begin(time)
-        report = self._note(
-            self._dispatch(self.checker.step_state(time, state))
-        )
-        if telemetry is not None:
-            self._emit_alerts(telemetry.verdict(time, report))
-        return self._observe_state(report)
-
     def run(self, stream: Union[UpdateStream, Sequence]) -> RunReport:
         """Process a whole update stream; return the aggregate report."""
-        if (
-            not self._violation_handlers
-            and self._resilience is None
-            and self._journal is None
-            and self._budget is None
-            and self._telemetry is None
-            and self._statewatch is None
-        ):
-            return self.checker.run(stream)
         report = RunReport()
         for time, txn in stream:
             report.add(self.step(time, txn))
         return report
 
-    def feed(
-        self,
-        sources,
-        watermark: int = 0,
-        max_lateness: Optional[int] = None,
-        skew=None,
-        retry=None,
-        queue_capacity: int = 1024,
-        backpressure: str = "block",
-        consumer_rate: Optional[int] = None,
-        pressure_deadline: Optional[float] = None,
-        urgent: Sequence[str] = (),
-        max_buffer: int = 4096,
-    ) -> RunReport:
-        """Pull from unordered, unreliable sources until they run dry.
-
-        The ingestion counterpart of :meth:`run`: where ``run`` demands
-        a clean, strictly-increasing stream, ``feed`` accepts a list of
-        :class:`~repro.ingest.Source`-likes (any iterable of
-        ``(time, txn)`` pairs qualifies) and hardens the boundary — a
-        watermark reorderer absorbs disorder up to ``watermark`` clock
-        units, normalises per-source ``skew``, deduplicates replays,
-        and dead-letters too-late events; flaky sources are retried
-        per ``retry``; a bounded queue applies ``backpressure``.  See
-        :class:`~repro.ingest.IngestPipeline` for every knob, and
-        :attr:`ingest` for the accounting after the run.
-        """
-        from repro.ingest import IngestPipeline
-
-        pipeline = IngestPipeline(
-            self,
-            sources,
-            watermark=watermark,
-            max_lateness=max_lateness,
-            skew=skew,
-            retry=retry,
-            queue_capacity=queue_capacity,
-            backpressure=backpressure,
-            consumer_rate=consumer_rate,
-            pressure_deadline=pressure_deadline,
-            urgent=urgent,
-            max_buffer=max_buffer,
-        )
-        self._ingest = pipeline
-        return pipeline.run()
-
-    def record_fault(
-        self,
-        kind: str,
-        reason: str,
-        time: Optional[Timestamp] = None,
-        payload=None,
-    ) -> StepReport:
-        """Report an out-of-band fault (e.g. an unparseable stream line).
-
-        For callers that decode the stream themselves — such as the CLI
-        reading a history file leniently — and hit records that never
-        become a transaction at all.  Routed through the same fault
-        policy as step-boundary faults, so it raises under ``fail_fast``
-        (or with no policy configured).
-        """
-        error = HistoryError(reason)
-        if self._resilience is None:
-            raise error
-        from repro.resilience import classify_fault
-
-        return self._resilience.handle(
-            classify_fault(error) if kind is None else kind,
-            error,
-            time,
-            payload,
-            self.checker.steps_processed,
-        )
+    def _fault_index(self) -> int:
+        return self.checker.steps_processed
 
     @property
     def now(self) -> Optional[Timestamp]:
@@ -811,6 +849,19 @@ class Monitor:
             ) from exc
 
     @classmethod
+    def _restored(cls, checker) -> "Monitor":
+        """A monitor around a restored incremental checker."""
+        monitor = cls(
+            checker.schema, engine="incremental",
+            share_subformulas=getattr(
+                checker, "share_subformulas", False
+            ),
+        )
+        monitor.constraints = list(checker.constraints)
+        monitor._checker = checker
+        return monitor
+
+    @classmethod
     def recover(cls, directory, resume_journal: bool = True,
                 sync=False, checkpoint_every: int = 64,
                 backend="segment", cold="auto"):
@@ -834,21 +885,13 @@ class Monitor:
         from repro.core.persist import recover as recover_run
 
         result = recover_run(directory)
-        checker = result.checker
-        monitor = cls(
-            checker.schema, engine="incremental",
-            share_subformulas=getattr(
-                checker, "share_subformulas", False
-            ),
-        )
-        monitor.constraints = list(checker.constraints)
-        monitor._checker = checker
+        monitor = cls._restored(result.checker)
         if resume_journal:
             journal = RunJournal(
                 directory, checkpoint_every=checkpoint_every,
                 sync=sync, backend=backend, cold=cold,
             )
-            journal.attach(checker)
+            journal.attach(result.checker)
             monitor._journal = journal
         return monitor, result
 
@@ -873,16 +916,7 @@ class Monitor:
         """Restore a monitor from a checkpoint written by :meth:`save`."""
         from repro.core.persist import load_checker
 
-        checker = load_checker(path)
-        monitor = cls(
-            checker.schema, engine="incremental",
-            share_subformulas=getattr(
-                checker, "share_subformulas", False
-            ),
-        )
-        monitor.constraints = list(checker.constraints)
-        monitor._checker = checker
-        return monitor
+        return cls._restored(load_checker(path))
 
     def __repr__(self) -> str:
         return (

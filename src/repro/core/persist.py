@@ -71,7 +71,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.auxiliary import OnceState, PrevState, SinceState
 from repro.core.checker import Constraint, IncrementalChecker
@@ -111,8 +111,8 @@ JOURNAL_NAME = "journal.jsonl"
 __all__ = [
     "CHECKPOINT_NAME", "JOURNAL_NAME", "LOCK_NAME", "FORMAT_VERSION",
     "JournalLock", "RunJournal", "RecoveryResult", "checkpoint_dict",
-    "restore_checker", "save_checker", "load_checker", "read_journal",
-    "recover", "tiered_checkpoint", "merge_cold_rows", "cold_node_ids",
+    "restore_checker", "save_checker", "load_checker", "recover",
+    "tiered_checkpoint", "merge_cold_rows", "cold_node_ids",
 ]
 
 PathLike = Union[str, Path]
@@ -557,45 +557,6 @@ class RunJournal:
             f"{self.records_written} record(s), "
             f"{self.checkpoints_written} checkpoint(s))"
         )
-
-
-def read_journal(path: PathLike) -> Iterator[Tuple[int, Transaction]]:
-    """Parse a *legacy* plain-JSONL journal file, strictly.
-
-    A record that fails to parse is reported as
-    :class:`RecoveryError` with its line number.  This is the strict
-    reader for legacy files; recovery itself goes through the store's
-    lenient truncate-to-last-valid scan and never raises for a torn
-    tail.
-    """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise RecoveryError(
-            f"cannot read journal {path}: {exc}"
-        ) from None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            time = record["t"]
-            txn = Transaction.from_dict(record)
-        except (ValueError, KeyError, TypeError, ReproError) as exc:
-            tail = " (torn tail from a crash mid-write?)" if (
-                lineno == len(lines)
-            ) else ""
-            raise RecoveryError(
-                f"{path}:{lineno}: corrupted journal record"
-                f"{tail}: {type(exc).__name__}: {exc}"
-            ) from None
-        if not isinstance(time, int):
-            raise RecoveryError(
-                f"{path}:{lineno}: corrupted journal record: "
-                f"timestamp must be an int, got {time!r}"
-            )
-        yield time, txn
 
 
 class RecoveryResult:

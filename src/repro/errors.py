@@ -188,6 +188,13 @@ class HistoryError(ReproError):
     """A history is malformed (non-increasing timestamps, schema drift)."""
 
 
+#: Exception types a fault policy intercepts at the step boundary.
+#: Everything else (programming errors, ``MonitorError`` misuse) still
+#: propagates — a policy shields the monitor from bad *inputs*, not
+#: from bugs.
+FAULT_ERRORS = (SchemaError, TransactionError, TimeError, HistoryError)
+
+
 class IngestError(ReproError):
     """The ingestion frontier was misconfigured or misused.
 

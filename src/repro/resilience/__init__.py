@@ -35,7 +35,8 @@ checkpoint format in :mod:`repro.core.persist`
 full walkthrough.
 """
 
-from repro.core.persist import RecoveryResult, RunJournal, read_journal, recover
+from repro.core.persist import RecoveryResult, RunJournal, recover
+from repro.errors import FAULT_ERRORS
 from repro.resilience.chaos import (
     FAULT_KINDS,
     ROTATION_FAILPOINTS,
@@ -61,7 +62,6 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.degrade import StepBudget
 from repro.resilience.policy import (
-    FAULT_ERRORS,
     FaultPolicy,
     FaultRecord,
     QuarantineLog,
@@ -98,7 +98,6 @@ __all__ = [
     "plan_ingest_chaos",
     "plan_shard_chaos",
     "plan_storage_chaos",
-    "read_journal",
     "recover",
     "run_until_crash",
     "split_sources",

@@ -39,12 +39,6 @@ from repro.errors import (
     TransactionError,
 )
 
-#: Exception types a fault policy intercepts at the step boundary.
-#: Everything else (programming errors, ``MonitorError`` misuse) still
-#: propagates — a policy shields the monitor from bad *inputs*, not
-#: from bugs.
-FAULT_ERRORS = (SchemaError, TransactionError, TimeError, HistoryError)
-
 # Metric family names (registered lazily, only when a fault occurs, so
 # a fault-free run adds no series).
 FAULTS_TOTAL = "repro_faults_total"

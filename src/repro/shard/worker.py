@@ -143,6 +143,47 @@ def degraded_fragment(time, constraints) -> StepReport:
     )
 
 
+def redelivered_report(monitor: Monitor, replayed, time) -> Optional[StepReport]:
+    """The answer to a step this incarnation already holds, else None.
+
+    A redelivered step at or before the monitor's frontier is answered
+    from the journal replay — re-applying it would corrupt the checker
+    — and a pre-checkpoint verdict, genuinely unrecoverable, degrades
+    explicitly.
+    """
+    now = monitor.now
+    if now is None or time > now:
+        return None
+    report = replayed.get(time)
+    if report is None:
+        report = degraded_fragment(time, monitor.constraints)
+    return report
+
+
+def take_chaos_event(chaos: List[dict], seq: int) -> Optional[dict]:
+    """The first unfired chaos event for submission ``seq`` (now fired)."""
+    for event in chaos:
+        if not event.get("fired") and event.get("step") == seq:
+            event["fired"] = True
+            return event
+    return None
+
+
+def checkpoint_after_ack(monitor: Monitor, since: int, every: int) -> int:
+    """Count one acknowledged step, checkpointing every ``every``.
+
+    Returns the new count of steps since the last checkpoint.
+    """
+    # the checkpoint follows the ack so a torn-mode crash's record stays replayable
+    if monitor.journal is None:
+        return since
+    since += 1
+    if since < every:
+        return since
+    monitor.checkpoint()
+    return 0
+
+
 class WorkerAck:
     """One processed step flowing back to the supervisor."""
 
@@ -217,13 +258,6 @@ class InlineWorker:
     def submit(self, seq: int, time: Timestamp, txn: Transaction) -> None:
         self.mailbox.append((seq, time, txn))
 
-    def _chaos_event(self, seq: int) -> Optional[dict]:
-        for event in self.chaos:
-            if not event.get("fired") and event.get("step") == seq:
-                event["fired"] = True
-                return event
-        return None
-
     def pump(self) -> Optional[WorkerAck]:
         """Process at most one mailbox item; return its ack, if any.
 
@@ -240,17 +274,11 @@ class InlineWorker:
         if not self.mailbox:
             return None
         seq, time, txn = self.mailbox[0]
-        now = self.monitor.now
-        if now is not None and time <= now:
-            # Redelivered step this incarnation already holds: answer
-            # from the journal replay; a pre-checkpoint verdict is
-            # unrecoverable and degrades explicitly.
+        report = redelivered_report(self.monitor, self.replayed, time)
+        if report is not None:
             self.mailbox.popleft()
-            report = self.replayed.get(time)
-            if report is None:
-                report = degraded_fragment(time, self.monitor.constraints)
             return WorkerAck(self.shard, seq, report, replayed=True)
-        event = self._chaos_event(seq)
+        event = take_chaos_event(self.chaos, seq)
         if event is not None:
             mode = event.get("mode")
             if mode == "stall":
@@ -271,16 +299,10 @@ class InlineWorker:
             self.dead = True
             self.crash_mode = "torn"
             return None
-        self._maybe_checkpoint()
+        self._since_checkpoint = checkpoint_after_ack(
+            self.monitor, self._since_checkpoint, self.spec.checkpoint_every
+        )
         return WorkerAck(self.shard, seq, report, replayed=False)
-
-    def _maybe_checkpoint(self) -> None:
-        if self.monitor.journal is None:
-            return
-        self._since_checkpoint += 1
-        if self._since_checkpoint >= self.spec.checkpoint_every:
-            self.monitor.checkpoint()
-            self._since_checkpoint = 0
 
     def kill(self) -> None:
         """Tear the worker down (crash cleanup or tombstoning)."""
@@ -330,29 +352,18 @@ def _worker_main(conn, spec: WorkerSpec, chaos: List[dict],
             conn.send(("pong",))
             continue
         _, seq, time, txn = message
-        now = monitor.now
-        if now is not None and time <= now:
-            report = replayed.get(time)
-            if report is None:
-                report = degraded_fragment(time, monitor.constraints)
+        report = redelivered_report(monitor, replayed, time)
+        if report is not None:
             conn.send(("ack", seq, report, True))
             continue
-        event = None
-        for candidate in chaos:
-            if not candidate.get("fired") and candidate.get("step") == seq:
-                candidate["fired"] = True
-                event = candidate
-                break
+        event = take_chaos_event(chaos, seq)
         if event is not None and event.get("mode") == "before":
             os._exit(CRASH_EXIT_BEFORE)
         report = monitor.step(time, txn)
         if event is not None and event.get("mode") == "torn":
             os._exit(CRASH_EXIT_TORN)
         conn.send(("ack", seq, report, False))
-        since += 1
-        if monitor.journal is not None and since >= spec.checkpoint_every:
-            monitor.checkpoint()
-            since = 0
+        since = checkpoint_after_ack(monitor, since, spec.checkpoint_every)
 
 
 class ProcessWorker:
