@@ -38,7 +38,7 @@ CHECKPOINT_EVERY = 25
 CRASH_TAIL = 10  # steps replayed from the stream after recovery
 
 PROFILES = {
-    "short": [60, 120],
+    "short": [80, 160],
     "full": [80, 160, 320],
 }
 

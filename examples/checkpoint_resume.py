@@ -1,11 +1,12 @@
 """Checkpoint and resume: monitoring survives restarts.
 
 Because the incremental checker never stores the history, its whole
-state fits in a small JSON checkpoint: auxiliary relations + current
-database + clock.  This example runs half a workload, saves, builds a
-brand-new monitor from the file, runs the second half, and shows the
-verdicts are identical to an uninterrupted run — while the checkpoint
-stays a few kilobytes no matter how long the run was.
+state fits in a small checkpoint: auxiliary relations + current
+database + clock.  This example runs half a workload, saves it into a
+store directory, builds a brand-new monitor from that directory, runs
+the second half, and shows the verdicts are identical to an
+uninterrupted run — while the directory stays a few kilobytes no
+matter how long the run was.
 
 The second act makes the restart *unplanned*: a journaled monitor is
 killed mid-stream by the chaos harness, recovered from its journal
@@ -33,14 +34,14 @@ continuous_report = continuous.run(stream)
 first_half = workload.monitor("incremental")
 first_report = first_half.run(stream[:half])
 
-checkpoint = os.path.join(tempfile.mkdtemp(), "monitor.json")
+checkpoint = os.path.join(tempfile.mkdtemp(), "saved")
 first_half.save(checkpoint)
-size = os.path.getsize(checkpoint)
-print(f"checkpoint after {half} states: {size} bytes "
+size = sum(entry.stat().st_size for entry in os.scandir(checkpoint))
+print(f"checkpoint directory after {half} states: {size} bytes "
       f"({first_half.checker.aux_tuple_count()} aux tuples, "
       f"{first_half.checker.state.total_rows} current rows)")
 
-resumed = Monitor.resume(checkpoint)
+resumed, _ = Monitor.recover(checkpoint, resume_journal=False)
 print(f"resumed monitor: {resumed}")
 second_report = resumed.run(stream[half:])
 
@@ -70,9 +71,10 @@ print(f"a full-history checkpoint would carry {history_tuples} tuples; "
 
 # --- crash and recover -----------------------------------------------------
 # A planned save is easy; a journal makes the *unplanned* kill safe.
-# `enable_journal` checkpoints periodically and appends every applied
-# step as a checksummed framed record to a segment WAL in between, so
-# recovery = newest usable checkpoint + verified replay.
+# `enable_journal` writes the same store directory as `save`, but
+# checkpoints periodically and appends every applied step as a
+# checksummed framed record to a segment WAL in between, so recovery =
+# newest usable checkpoint + verified replay.
 from repro.resilience import SimulatedCrash, run_until_crash  # noqa: E402
 from repro.store import scrub_directory  # noqa: E402
 

@@ -165,13 +165,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--resume-from", default=None,
-        help="checkpoint file to resume monitoring from "
+        help="store directory to resume monitoring from: one written "
+             "by --save-checkpoint or a --journal directory "
              "(constraints come from the checkpoint; incremental only)",
     )
     check.add_argument(
         "--save-checkpoint", default=None,
-        help="write a checkpoint after processing the stream "
-             "(incremental engine only)",
+        help="write a checkpoint into this store directory after "
+             "processing the stream (incremental engine only)",
     )
     check.add_argument(
         "--trace", default=None, metavar="FILE",
@@ -1400,7 +1401,7 @@ def _command_check(args: argparse.Namespace) -> int:
         args.fault_policy = "quarantine"
     instrumentation, tracer, registry = _build_instrumentation(args)
     if args.resume_from:
-        monitor = Monitor.resume(args.resume_from)
+        monitor, _ = Monitor.recover(args.resume_from, resume_journal=False)
         monitor.instrument(instrumentation)
         if args.fault_policy or args.quarantine_log:
             monitor._configure_fault_policy(

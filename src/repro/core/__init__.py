@@ -55,7 +55,7 @@ from repro.core.naive import NaiveChecker
 from repro.core.normalize import normalize, rename_apart
 from repro.core.optimize import optimize
 from repro.core.parser import parse, parse_constraints
-from repro.core.persist import load_checker, restore_checker, save_checker
+from repro.core.persist import restore_checker
 from repro.core.safety import check_safe, is_safe
 from repro.core.semantics import HistoryEvaluator
 from repro.core.violations import RunReport, StepReport, Violation
@@ -107,7 +107,6 @@ __all__ = [
     "future_horizon",
     "has_unbounded_operator",
     "is_safe",
-    "load_checker",
     "max_anchor_window",
     "normalize",
     "optimize",
@@ -117,5 +116,4 @@ __all__ = [
     "profile",
     "rename_apart",
     "restore_checker",
-    "save_checker",
 ]

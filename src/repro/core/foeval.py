@@ -80,16 +80,13 @@ def _plan_order(operands, ctx: Table, provider: AtomProvider):
     order = []
     current = bound
     while remaining:
-        candidates = [
-            (i, analyze(operands[i], current))
-            for i in remaining
-        ]
-        ready = [(i, res) for i, res in candidates if res is not None]
+        analyzed = {i: analyze(operands[i], current) for i in remaining}
+        ready = {i: res for i, res in analyzed.items() if res is not None}
         if not ready:
             return None
         # filters: conjuncts that bind nothing new (negations, bound
         # comparisons) — always run them first, cheapest wins trivially
-        filters = [i for i, res in ready if res == current]
+        filters = [i for i, res in ready.items() if res == current]
         if filters:
             chosen = filters[0]
         else:
@@ -97,7 +94,7 @@ def _plan_order(operands, ctx: Table, provider: AtomProvider):
             # with the bound context joins selectively; a disconnected
             # one multiplies.  Only fall back to disconnected picks
             # when nothing is connected (e.g. the very first conjunct).
-            binders = [i for i, _ in ready]
+            binders = list(ready)
             connected = [
                 i
                 for i in binders
@@ -110,9 +107,7 @@ def _plan_order(operands, ctx: Table, provider: AtomProvider):
             )
         order.append(chosen)
         remaining.remove(chosen)
-        updated = analyze(operands[chosen], current)
-        assert updated is not None
-        current = updated
+        current = ready[chosen]
     return order
 
 

@@ -793,7 +793,7 @@ class Monitor(MonitorFacade):
 
     def enable_journal(
         self, directory, checkpoint_every: int = 64, sync=False,
-        backend="segment", cold="auto", failpoints=(),
+        backend="segment", failpoints=(),
     ):
         """Journal every applied step under ``directory``.
 
@@ -810,11 +810,11 @@ class Monitor(MonitorFacade):
         rotation boundary (host-crash durability — the shard workers'
         default; honours the ``REPRO_FSYNC=off`` escape hatch), or
         ``"force"`` to fsync regardless of the environment (chaos and
-        durability jobs).  ``backend``/``cold``/``failpoints`` are
-        passed to :class:`~repro.core.persist.RunJournal`: the durable
-        segment store (default, with ``cold="auto"`` spilling
-        unbounded-operator anchors to its SQLite tier) or an in-memory
-        store.  Incremental engine only, like :meth:`save`.
+        durability jobs).  ``backend``/``failpoints`` are passed to
+        :class:`~repro.core.persist.RunJournal`: the durable segment
+        store (default, spilling unbounded-operator anchors to its
+        SQLite tier) or an in-memory store.  Incremental engine only,
+        like :meth:`save`.
         """
         from repro.core.persist import RunJournal
 
@@ -827,7 +827,7 @@ class Monitor(MonitorFacade):
             raise MonitorError("a journal is already attached")
         journal = RunJournal(
             directory, checkpoint_every=checkpoint_every, sync=sync,
-            backend=backend, cold=cold, failpoints=failpoints,
+            backend=backend, failpoints=failpoints,
         )
         journal.attach(self.checker)
         self._journal = journal
@@ -849,32 +849,19 @@ class Monitor(MonitorFacade):
             ) from exc
 
     @classmethod
-    def _restored(cls, checker) -> "Monitor":
-        """A monitor around a restored incremental checker."""
-        monitor = cls(
-            checker.schema, engine="incremental",
-            share_subformulas=getattr(
-                checker, "share_subformulas", False
-            ),
-        )
-        monitor.constraints = list(checker.constraints)
-        monitor._checker = checker
-        return monitor
-
-    @classmethod
     def recover(cls, directory, resume_journal: bool = True,
-                sync=False, checkpoint_every: int = 64,
-                backend="segment", cold="auto"):
-        """Rebuild a monitor after a crash from checkpoint + journal.
+                sync=False, checkpoint_every: int = 64):
+        """Rebuild a monitor from a store directory: checkpoint + journal.
 
-        Restores the newest usable checkpoint under ``directory``
-        (falling back to the retained previous generation when the
-        current one fails its checksums), replays the journal tail on
-        top — truncating leniently at the first damaged record, see
+        ``directory`` is one written by :meth:`save` or by a journaled
+        run.  Restores its newest usable checkpoint (falling back to
+        the retained previous generation when the current one fails
+        its checksums), replays the journal tail on top — truncating
+        leniently at the first damaged record, see
         :attr:`~repro.core.persist.RecoveryResult.torn_records` — and
         (by default) re-attaches the journal so monitoring continues
-        exactly where the killed process stopped (``sync``/``backend``/
-        ``cold`` select the re-attached journal's configuration).
+        exactly where the killed process stopped (``sync`` and
+        ``checkpoint_every`` configure the re-attached journal).
 
         Returns:
             ``(monitor, result)`` where ``result`` is the
@@ -885,38 +872,48 @@ class Monitor(MonitorFacade):
         from repro.core.persist import recover as recover_run
 
         result = recover_run(directory)
-        monitor = cls._restored(result.checker)
+        checker = result.checker
+        monitor = cls(
+            checker.schema, engine="incremental",
+            share_subformulas=checker.share_subformulas,
+        )
+        monitor.constraints = list(checker.constraints)
+        monitor._checker = checker
         if resume_journal:
             journal = RunJournal(
-                directory, checkpoint_every=checkpoint_every,
-                sync=sync, backend=backend, cold=cold,
+                directory, checkpoint_every=checkpoint_every, sync=sync,
             )
-            journal.attach(result.checker)
+            journal.attach(checker)
             monitor._journal = journal
         return monitor, result
 
-    def save(self, path) -> None:
-        """Write a checkpoint of the monitoring run to ``path``.
+    def save(self, directory) -> None:
+        """Write one checkpoint generation of the run into ``directory``.
 
-        Only the incremental engine supports checkpointing (its state
-        is the small bounded encoding; the naive engines' state is the
-        whole history, which defeats the point).
+        ``directory`` is a :mod:`repro.store` directory (created if
+        missing); :meth:`recover` with ``resume_journal=False`` restores
+        it, and ``repro scrub`` verifies it.  Only the incremental
+        engine supports checkpointing (its state is the small bounded
+        encoding; the naive engines' state is the whole history, which
+        defeats the point).
         """
-        from repro.core.persist import save_checker
+        from repro.core.persist import RunJournal
 
         if self.engine != "incremental":
             raise MonitorError(
                 f"checkpointing requires the incremental engine, "
                 f"not {self.engine!r}"
             )
-        save_checker(self.checker, path)
-
-    @classmethod
-    def resume(cls, path) -> "Monitor":
-        """Restore a monitor from a checkpoint written by :meth:`save`."""
-        from repro.core.persist import load_checker
-
-        return cls._restored(load_checker(path))
+        try:
+            journal = RunJournal(directory)
+            try:
+                journal.attach(self.checker)
+            finally:
+                journal.close()
+        except OSError as exc:
+            raise MonitorError(
+                f"cannot save a checkpoint to {directory}: {exc}"
+            ) from exc
 
     def __repr__(self) -> str:
         return (

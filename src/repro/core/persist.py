@@ -6,8 +6,12 @@ auxiliary state plus the current database state.  This module
 serialises an :class:`~repro.core.checker.IncrementalChecker` to a
 versioned JSON document and restores it to a checker that continues
 the run *exactly* where the original left off — the round-trip
-property ``resume(save(checker)) ≡ checker`` is verified by property
-tests.
+property ``restore(checkpoint(checker)) ≡ checker`` is verified by
+property tests.  The one on-disk format is a :mod:`repro.store`
+directory: a planned save (:meth:`Monitor.save
+<repro.core.monitor.Monitor.save>`) writes one checkpoint generation
+into it, a journaled run keeps writing generations and journal
+segments, and :func:`recover` restores either.
 
 Constraints are stored as their concrete syntax (``str(formula)``),
 which the parser round-trips; auxiliary relations are stored in the
@@ -37,7 +41,7 @@ at most ``window + 1`` timestamps per valuation, touched every step —
 stays in the hot checkpoint document, while the minimal anchors of
 *unbounded* operators spill to the store's SQLite cold tier
 (:mod:`repro.store.sqlite`), keyed per aux node and bound to the
-checkpoint by per-node digests.  ``cold="auto"`` spills whenever the
+checkpoint by per-node digests.  Checkpoints spill whenever the
 backend is durable and ``sqlite3`` is available.
 
 Records are appended *after* a step commits, so a quarantined or
@@ -59,17 +63,10 @@ A journal directory is guarded by a ``journal.lock`` file stamped with
 the owner's ``(pid, process start token)`` — see
 :class:`repro.store.JournalLock` — so a second live writer is refused
 while a dead owner's lock (even under a recycled pid) is stolen.
-
-Legacy layouts — plain-JSON checkpoints and ``journal.jsonl`` files
-written before the framed store existed — are still recovered
-(:func:`load_checker` sniffs the format; :func:`recover` falls back to
-the legacy reader when the checkpoint is plain JSON).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -81,37 +78,23 @@ from repro.db.algebra import Table
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
-from repro.errors import (
-    MonitorError,
-    RecoveryError,
-    ReproError,
-    StoreCorruption,
-)
+from repro.errors import MonitorError, RecoveryError, ReproError
 from repro.store import (
     JournalLock,
     MemoryStore,
     SegmentStore,
     StateStore,
-    StoreSnapshot,
-    decode_record,
-    encode_record,
     sqlite_available,
 )
 from repro.store.lock import LOCK_NAME
-from repro.store.record import STORE_MAGIC
+from repro.store.segment import CHECKPOINT_NAME
 
 FORMAT_VERSION = 1
 
-#: File names inside a journal directory.  ``CHECKPOINT_NAME`` is the
-#: framed current checkpoint; ``JOURNAL_NAME`` is the *legacy* plain
-#: JSONL journal (the segment backend writes ``wal-*.log`` instead).
-CHECKPOINT_NAME = "checkpoint.json"
-JOURNAL_NAME = "journal.jsonl"
-
 __all__ = [
-    "CHECKPOINT_NAME", "JOURNAL_NAME", "LOCK_NAME", "FORMAT_VERSION",
+    "CHECKPOINT_NAME", "LOCK_NAME", "FORMAT_VERSION",
     "JournalLock", "RunJournal", "RecoveryResult", "checkpoint_dict",
-    "restore_checker", "save_checker", "load_checker", "recover",
+    "restore_checker", "recover",
     "tiered_checkpoint", "merge_cold_rows", "cold_node_ids",
 ]
 
@@ -304,98 +287,6 @@ def restore_checker(document: dict) -> IncrementalChecker:
     return checker
 
 
-def save_checker(
-    checker: IncrementalChecker, path: PathLike, sync=False
-) -> None:
-    """Write a checker checkpoint to ``path``, atomically and framed.
-
-    The document is wrapped in one checksummed frame (magic + length
-    prefix + blake2s digest, :mod:`repro.store.record`), written to a
-    sibling temp file, and renamed into place — readers and crash
-    recovery only ever see a complete old or complete new checkpoint,
-    and any later torn write or bit flip fails the checksum instead of
-    parsing as garbage.  ``sync`` follows the store discipline
-    (``False`` / ``True`` / ``"force"``).
-    """
-    from repro.store.base import fsync_dir, fsync_file
-
-    path = Path(path)
-    frame = encode_record({
-        "epoch": 0,
-        "document": checkpoint_dict(checker),
-        "cold": {},
-    })
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(frame)
-        fh.flush()
-        fsync_file(fh, sync)
-    os.replace(tmp, path)
-    fsync_dir(path.parent, sync)
-
-
-def _checkpoint_frame_document(record: dict, path: Path) -> dict:
-    """Unwrap a framed checkpoint record to its document."""
-    document = record.get("document")
-    if not isinstance(document, dict):
-        raise MonitorError(
-            f"malformed checkpoint {path}: frame carries no document"
-        )
-    return document
-
-
-def load_checker(path: PathLike) -> IncrementalChecker:
-    """Restore a checker from a checkpoint file (framed or legacy JSON).
-
-    Raises:
-        MonitorError: if the file is missing, unreadable, fails its
-            checksum, is not valid JSON, structurally incomplete, or
-            written by an unsupported (including newer) format version
-            — always with the path and reason; raw
-            ``FileNotFoundError``/``JSONDecodeError``/``KeyError``
-            never escape.
-    """
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise MonitorError(
-            f"checkpoint {path} does not exist"
-        ) from None
-    except OSError as exc:
-        raise MonitorError(
-            f"cannot read checkpoint {path}: {exc}"
-        ) from None
-    if data.lstrip().startswith(STORE_MAGIC.encode("ascii") + b" "):
-        try:
-            record = decode_record(data.strip(), path=path, offset=0)
-        except StoreCorruption as exc:
-            raise MonitorError(
-                f"corrupt checkpoint {path}: {exc}"
-            ) from None
-        document = _checkpoint_frame_document(record, path)
-    else:
-        # legacy plain-JSON checkpoint (pre-store format)
-        try:
-            document = json.loads(data.decode("utf-8", errors="strict"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise MonitorError(
-                f"malformed checkpoint {path}: not valid JSON ({exc})"
-            ) from None
-        if not isinstance(document, dict):
-            raise MonitorError(
-                f"malformed checkpoint {path}: expected a JSON object, "
-                f"got {type(document).__name__}"
-            )
-    try:
-        return restore_checker(document)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise MonitorError(
-            f"malformed checkpoint {path}: missing or ill-typed field "
-            f"({type(exc).__name__}: {exc})"
-        ) from None
-
-
 # ----------------------------------------------------------------------
 # journaled auto-checkpointing
 # ----------------------------------------------------------------------
@@ -419,10 +310,9 @@ class RunJournal:
             see the module docstring).
         backend: ``"segment"`` (durable, default), ``"memory"``, or a
             ready-made :class:`~repro.store.StateStore` instance.
-        cold: spill unbounded-operator anchors to the store's SQLite
-            cold tier — ``"auto"`` (default: spill when the backend is
-            durable and ``sqlite3`` exists), ``True`` (require the
-            tier), or ``False`` (keep everything in the hot document).
+            Unbounded-operator anchors spill to the store's SQLite
+            cold tier whenever the backend is durable and ``sqlite3``
+            exists.
         failpoints: storage failpoint names forwarded to the segment
             backend (chaos tests).
     """
@@ -433,7 +323,6 @@ class RunJournal:
         checkpoint_every: int = 64,
         sync=False,
         backend="segment",
-        cold="auto",
         failpoints=(),
     ):
         if not isinstance(checkpoint_every, int) or checkpoint_every < 1:
@@ -462,16 +351,7 @@ class RunJournal:
                 f"unknown journal backend {backend!r}; expected "
                 f"'segment', 'memory', or a StateStore instance"
             )
-        if cold == "auto":
-            self._spill = self.store.durable and sqlite_available()
-        elif cold:
-            if not sqlite_available():  # pragma: no cover - stdlib absent
-                raise MonitorError(
-                    "cold=True requires the sqlite3 module"
-                )
-            self._spill = True
-        else:
-            self._spill = False
+        self._spill = self.store.durable and sqlite_available()
         self.records_written = 0
         self.checkpoints_written = 0
         self._since_checkpoint = 0
@@ -604,55 +484,6 @@ class RecoveryResult:
         )
 
 
-def _legacy_snapshot(directory: Path) -> StoreSnapshot:
-    """Snapshot of a pre-store layout: plain-JSON checkpoint + JSONL
-    journal, read with the same lenient truncate-to-last-valid rule."""
-    try:
-        checker_doc = json.loads(
-            (directory / CHECKPOINT_NAME).read_text()
-        )
-    except (OSError, ValueError) as exc:
-        raise RecoveryError(
-            f"cannot recover from {directory}: malformed legacy "
-            f"checkpoint: {exc}"
-        ) from None
-    records: List[dict] = []
-    torn = 0
-    journal = directory / JOURNAL_NAME
-    if journal.exists():
-        lines = [
-            line for line in journal.read_text().splitlines()
-            if line.strip()
-        ]
-        for position, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict) or not isinstance(
-                    record.get("t"), int
-                ):
-                    raise ValueError("not a journal record")
-            except ValueError:
-                torn = len(lines) - position
-                break
-            records.append(record)
-    return StoreSnapshot(checker_doc, records=records, torn_records=torn)
-
-
-def _load_snapshot(directory: Path) -> StoreSnapshot:
-    """The directory's recoverable state, via the store or legacy path."""
-    checkpoint = directory / CHECKPOINT_NAME
-    if checkpoint.exists():
-        try:
-            with open(checkpoint, "rb") as fh:
-                head = fh.read(len(STORE_MAGIC) + 1)
-        except OSError:
-            head = b""
-        if head.lstrip()[:1] == b"{":
-            return _legacy_snapshot(directory)
-    with SegmentStore(directory, lock=False) as store:
-        return store.load()
-
-
 def recover(directory: PathLike) -> RecoveryResult:
     """Restore a crashed run from its journal directory, leniently.
 
@@ -670,12 +501,18 @@ def recover(directory: PathLike) -> RecoveryResult:
     injected corruptions.
 
     Raises:
-        RecoveryError: if no usable checkpoint survives (both
-            generations missing or damaged), or a verified journal
+        RecoveryError: if ``directory`` does not exist, no usable
+            checkpoint survives (both generations missing or damaged),
+            or a verified journal
             record does not replay against the restored state.
     """
     directory = Path(directory)
-    snapshot = _load_snapshot(directory)
+    if not directory.is_dir():
+        raise RecoveryError(
+            f"cannot recover from {directory}: no such directory"
+        )
+    with SegmentStore(directory, lock=False) as store:
+        snapshot = store.load()
     if snapshot.document is None:
         raise RecoveryError(
             f"cannot recover from {directory}: no usable checkpoint "
@@ -686,9 +523,14 @@ def recover(directory: PathLike) -> RecoveryResult:
         checker = restore_checker(document)
     except RecoveryError:
         raise
-    except (MonitorError, KeyError, TypeError, AttributeError) as exc:
+    except MonitorError as exc:
         raise RecoveryError(
             f"cannot recover from {directory}: {exc}"
+        ) from None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise RecoveryError(
+            f"cannot recover from {directory}: malformed checkpoint, "
+            f"missing or ill-typed field ({type(exc).__name__}: {exc})"
         ) from None
     checkpoint_time = checker.now
     replayed = RunReport()

@@ -159,7 +159,7 @@ class TestMergeProperty:
             if monitor is None:
                 monitor = build_monitor(schema)
             else:
-                monitor = Monitor.resume(checkpoint)
+                monitor = Monitor.recover(checkpoint, resume_journal=False)[0]
             monitor.enable_telemetry(slo=quiet_slo(), clock=FakeClock())
             for t, t_txn in stream[start:start + size]:
                 monitor.step(t, t_txn)

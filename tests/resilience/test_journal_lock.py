@@ -16,16 +16,16 @@ import pytest
 
 from repro.core.persist import (
     CHECKPOINT_NAME,
-    JOURNAL_NAME,
     LOCK_NAME,
     JournalLock,
     RunJournal,
+    checkpoint_dict,
     recover,
-    save_checker,
 )
 from repro.core.monitor import Monitor
 from repro.db import DatabaseSchema, Transaction
 from repro.errors import MonitorError, RecoveryError
+from repro.store import list_segments, scrub_directory
 from repro.store.lock import process_start_token
 
 
@@ -264,7 +264,7 @@ class TestRecoveryEdges:
         self, schema, tmp_path
     ):
         monitor = make_monitor(schema, engine="incremental")
-        save_checker(monitor.checker, tmp_path / CHECKPOINT_NAME)
+        monitor.save(tmp_path)
         result = recover(tmp_path)
         assert result.journal_entries == 0
         assert result.torn_records == 0
@@ -272,32 +272,34 @@ class TestRecoveryEdges:
         assert len(result.replayed.steps) == 0
         assert result.checker.steps_processed == 0
 
-    def test_legacy_json_checkpoint_and_journal_recover(
-        self, schema, tmp_path
-    ):
-        # a directory written by the pre-store format: plain-JSON
-        # checkpoint + JSONL journal, no frames anywhere
-        from repro.core.persist import checkpoint_dict
-
+    def test_plain_json_layout_is_refused(self, schema, tmp_path):
+        # the pre-store layout (plain-JSON checkpoint + JSONL journal,
+        # no frames anywhere) is not read: recovery refuses it
+        # explicitly and scrub reports it unrepairable
         monitor = make_monitor(schema, engine="incremental")
         (tmp_path / CHECKPOINT_NAME).write_text(
             json.dumps(checkpoint_dict(monitor.checker))
         )
-        with open(tmp_path / JOURNAL_NAME, "w") as fh:
+        with open(tmp_path / "journal.jsonl", "w") as fh:
             for t, txn in stream(4):
                 entry = {"t": t}
                 entry.update(txn.to_dict())
                 fh.write(json.dumps(entry) + "\n")
-        result = recover(tmp_path)
-        assert result.journal_entries == 4
-        assert result.checker.now == 4
+        with pytest.raises(RecoveryError, match="no usable checkpoint"):
+            recover(tmp_path)
+        report = scrub_directory(tmp_path)
+        assert [f.kind for f in report.findings] == ["garbled"]
+        assert not report.repairable
 
     def test_empty_journal_file_recovers_cleanly(self, schema, tmp_path):
+        # a save commits a checkpoint and opens an empty segment
         monitor = make_monitor(schema, engine="incremental")
-        save_checker(monitor.checker, tmp_path / CHECKPOINT_NAME)
-        (tmp_path / JOURNAL_NAME).write_text("")
+        monitor.save(tmp_path)
+        [segment] = list_segments(tmp_path)
+        assert segment.stat().st_size == 0
         result = recover(tmp_path)
         assert result.journal_entries == 0
+        assert result.torn_records == 0
 
     def test_sync_mode_round_trips(self, schema, tmp_path):
         monitor = make_monitor(schema, engine="incremental")

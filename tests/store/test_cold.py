@@ -4,7 +4,8 @@ Unbounded ``ONCE``/``SINCE`` auxiliaries hold *anchor* tuples that
 grow with the active domain, not the window — exactly the rows worth
 spilling out of the hot checkpoint document.  These tests pin the
 generational table format, its per-row checksums, the checkpoint ↔
-cold-tier cross-verification, and the ``cold=`` knob on the journal.
+cold-tier cross-verification, and when the journal spills (a durable
+backend with ``sqlite3`` available).
 """
 
 import json
@@ -173,21 +174,6 @@ class TestJournalColdTier:
         monitor = unbounded_monitor(schema)
         journal = monitor.enable_journal(tmp_path / "j", backend="memory")
         assert not journal.spills_cold
-
-    def test_cold_false_keeps_anchors_in_the_checkpoint(
-        self, schema, tmp_path
-    ):
-        monitor = unbounded_monitor(schema)
-        journal = monitor.enable_journal(tmp_path / "j", cold=False)
-        assert not journal.spills_cold
-        for t, txn in stream(8):
-            monitor.step(t, txn)
-        monitor.journal.checkpoint(monitor.checker)
-        monitor.journal.close()
-        assert not (tmp_path / "j" / "cold.sqlite").exists()
-        recovered, _ = Monitor.recover(tmp_path / "j", cold=False)
-        assert recovered.now == 8
-        recovered.journal.close()
 
     def test_recover_merges_cold_rows(self, schema, tmp_path):
         full = stream(10)
